@@ -19,6 +19,10 @@
 //! the resolved one, so the row keys stay host-independent; the scalar and
 //! portable passes only emit the stable threads==1 rows that gate CI.
 //!
+//! `interp_linear_planned` / `interp_cubic_planned` (threads==1) time the
+//! apply of a prebuilt interpolation plan at the same queries as
+//! `interp_cubic` — the per-step cost of every transport solve.
+//!
 //! Two extra row families feed the roofline story:
 //! - `axpy_norm_fused` / `axpy_norm_unfused` time the PCG residual-update
 //!   chain (`r += αq` then `‖r‖²`) as one fused pass vs. the separate
@@ -176,6 +180,24 @@ fn bench_at(
         push(measure("interp_cubic", n, threads, oversubscribed, reps, || {
             std::hint::black_box(ip.interp(&f, &queries, &mut comm));
         }));
+
+        // planned interpolation: the plan is built once outside the timed
+        // loop, as a trajectory builds it once for all its transport
+        // solves; the timed call is the ghost exchange plus the gather
+        if threads == 1 {
+            let mut vals = vec![0.0 as Real; queries.len()];
+            for (kernel, order) in [
+                ("interp_linear_planned", IpOrder::Linear),
+                ("interp_cubic_planned", IpOrder::Cubic),
+            ] {
+                let mut ip = Interpolator::new(order);
+                let plan = ip.plan(f.layout(), &queries, &mut comm);
+                push(measure(kernel, n, threads, oversubscribed, reps, || {
+                    ip.apply_into(&plan, &f, &mut comm, &mut vals);
+                    std::hint::black_box(&vals);
+                }));
+            }
+        }
     }
 
     // axpy stream op (memory-bandwidth bound)

@@ -3,7 +3,11 @@
 //! Part A runs the *functional* experiment on the virtual cluster at
 //! CPU-feasible sizes: advect a brain phantom with a registration-scale
 //! velocity (cubic interpolation, Nt = 4) and report the five instrumented
-//! phases — wall time on this host, plus byte-accurate traffic.
+//! phases — wall time on this host, plus byte-accurate traffic. The state
+//! solve applies the trajectory's interpolation plan, so its query routing
+//! (`scatter_mpi_buffer`, `scatter_comm`) happens once per trajectory; the
+//! `traj` columns report that per-trajectory routing (the two plan builds
+//! plus the two RK2 predictor evaluations) next to the per-solve phases.
 //!
 //! Part B regenerates the paper-scale table from the calibrated model and
 //! prints it next to the published values.
@@ -21,7 +25,7 @@ fn main() {
     let n = bench_n();
     header("Table 2A — functional semi-Lagrangian advection on the virtual cluster");
     println!(
-        "{:>14} {:>5} | {:>11} {:>11} {:>11} {:>13} {:>11} | {:>12} {:>12}",
+        "{:>14} {:>5} | {:>11} {:>11} {:>11} {:>13} {:>11} | {:>12} {:>12} | {:>11} {:>12} {:>12}",
         "size",
         "GPUs",
         "ghost_comm",
@@ -30,7 +34,10 @@ fn main() {
         "interp_kernel",
         "scatter_buf",
         "ghost bytes",
-        "scatter bytes"
+        "scatter bytes",
+        "traj sc_buf",
+        "traj sc_comm",
+        "traj sc bytes"
     );
     // weak scaling: 1 -> 2 -> 4 virtual GPUs, growing the grid alongside
     let cases = [([n, n, n], 1usize), ([2 * n, n, n], 2), ([2 * n, 2 * n, n], 4)];
@@ -42,7 +49,10 @@ fn main() {
             let v = brain::random_smooth_velocity(layout, 42, 0.4, 2);
             let mut ip = Interpolator::new(IpOrder::Cubic);
             let transport = Transport::new(4, IpOrder::Cubic);
+            let t0 = comm.stats().cat(CommCat::Scatter).bytes_sent;
             let traj = Trajectory::compute(&v, 4, &mut ip, comm);
+            let traj_scatter_bytes = comm.stats().cat(CommCat::Scatter).bytes_sent - t0;
+            let traj_stats = ip.stats;
             ip.reset_stats(); // isolate the advection itself, like the paper
             let g0 = comm.stats().cat(CommCat::Ghost).bytes_sent;
             let s0 = comm.stats().cat(CommCat::Scatter).bytes_sent;
@@ -52,13 +62,14 @@ fn main() {
             };
             let ghost_bytes = comm.stats().cat(CommCat::Ghost).bytes_sent - g0;
             let scatter_bytes = comm.stats().cat(CommCat::Scatter).bytes_sent - s0;
-            (ip.stats, ghost_bytes, scatter_bytes)
+            (ip.stats, ghost_bytes, scatter_bytes, traj_stats, traj_scatter_bytes)
         });
         // report rank 0 (ranks are symmetric for this workload)
-        let (stats, gb, sb) = &res.outputs[0];
+        let (stats, gb, sb, traj_stats, tsb) = &res.outputs[0];
         let w = stats.wall;
+        let tw = traj_stats.wall;
         println!(
-            "{:>14} {:>5} | {:>11.3e} {:>11.3e} {:>11.3e} {:>13.3e} {:>11.3e} | {:>12} {:>12}",
+            "{:>14} {:>5} | {:>11.3e} {:>11.3e} {:>11.3e} {:>13.3e} {:>11.3e} | {:>12} {:>12} | {:>11.3e} {:>12.3e} {:>12}",
             fmt_size(size),
             p,
             w.ghost_comm,
@@ -67,12 +78,15 @@ fn main() {
             w.interp_kernel,
             w.scatter_mpi_buffer,
             gb,
-            sb
+            sb,
+            tw.scatter_mpi_buffer,
+            tw.scatter_comm,
+            tsb
         );
         record_json(
             "table2",
             &format!(
-                "{{\"size\":{size:?},\"p\":{p},\"wall_kernel\":{:.4e},\"ghost_bytes\":{gb},\"scatter_bytes\":{sb}}}",
+                "{{\"size\":{size:?},\"p\":{p},\"wall_kernel\":{:.4e},\"ghost_bytes\":{gb},\"scatter_bytes\":{sb},\"traj_scatter_bytes\":{tsb}}}",
                 w.interp_kernel
             ),
         );

@@ -346,6 +346,8 @@ pub static REAL32_POOL: Pool<f32> = Pool::new();
 pub static REAL64_POOL: Pool<f64> = Pool::new();
 /// Points/displacements `[x1, x2, x3]`: characteristic feet, RK2 stages.
 pub static R3_POOL: Pool<[Real; 3]> = Pool::new();
+/// Packed grid indices: the stencil bases of interpolation plans.
+pub static INDEX_POOL: Pool<u64> = Pool::new();
 /// Time-series containers of scalar fields (state/adjoint trajectories).
 pub static SCALAR_FIELDS: Pool<ScalarField> = Pool::new();
 /// Time-series containers of vector fields (stored state gradients).
@@ -395,6 +397,7 @@ pub fn drain_all() {
     #[cfg(feature = "single")]
     REAL64_POOL.drain();
     R3_POOL.drain();
+    INDEX_POOL.drain();
     SCALAR_FIELDS.drain();
     VECTOR_FIELDS.drain();
 }

@@ -1,6 +1,6 @@
 //! Local interpolation stencils (trilinear and cubic Lagrange).
 
-use claire_grid::{ghost::GhostField, Real, ScalarField, TWO_PI};
+use claire_grid::{ghost::GhostField, Layout, Real, ScalarField, TWO_PI};
 
 /// Interpolation order, named after the paper's GPU kernels.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -82,7 +82,7 @@ pub fn lagrange_weights(t: Real) -> [Real; 4] {
 pub fn to_index(x: Real, n: usize) -> Real {
     let nr = n as Real;
     let mut u = x * nr / TWO_PI;
-    u %= nr;
+    u = rem_period(u, nr);
     if u < 0.0 {
         u += nr;
     }
@@ -92,11 +92,231 @@ pub fn to_index(x: Real, n: usize) -> Real {
     u
 }
 
-/// Split a continuous index into (integer base, fraction).
+/// `u % nr` (the truncated remainder, exact in floating point) without the
+/// `fmod` call for the coordinates characteristic feet actually take: `u`
+/// within one period of `[0, nr)`. There `u` itself or `u ∓ nr` is the
+/// remainder, and the subtraction is exact (Sterbenz: both operands lie
+/// within a factor of two); the remainder takes the dividend's sign, which
+/// `copysign` restores for the zero `u = −nr` leaves. Every path returns
+/// the same bits as `%`.
+#[inline]
+fn rem_period(u: Real, nr: Real) -> Real {
+    let a = u.abs();
+    if a < nr {
+        u
+    } else if a < 2.0 * nr {
+        (a - nr).copysign(u)
+    } else {
+        u % nr
+    }
+}
+
+/// Split a continuous index `u ∈ [0, n)` (a [`to_index`] result) into
+/// (integer base, fraction). Equal, bit for bit, to `(⌊u⌋, u − ⌊u⌋)`: for
+/// non-negative `u` truncation is the floor, and `copysign` restores the
+/// floor's signed zero for `u = −0`. (`f64::floor` is a libm call on the
+/// baseline x86-64 target; the conversion pair is two instructions.)
 #[inline]
 fn split(u: Real) -> (isize, Real) {
-    let f = u.floor();
+    debug_assert!(u >= 0.0, "split needs a wrapped index, got {u}");
+    let f = ((u as i64) as Real).copysign(u);
     (f as isize, u - f)
+}
+
+/// Bits per axis of a packed stencil base (see [`Stencil::pack`]).
+const AXIS_BITS: u32 = 21;
+const AXIS_MASK: u64 = (1 << AXIS_BITS) - 1;
+
+/// One query resolved against the owning rank's slab: the base cell of the
+/// stencil and the exact in-cell fractions `t` that [`to_index`] and the
+/// floor split yield. The same entry serves every [`IpOrder`] — the order
+/// only decides which weights `t` turns into and how many neighbours the
+/// stencil reads.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Stencil {
+    /// In-cell fractions along x1, x2, x3, each in `[0, 1)`.
+    pub(crate) t: [Real; 3],
+    /// Base cell: slab-relative x1 plane, x2 row and x3 column (all
+    /// unwrapped: the plane lies in the owned slab, the row and column in
+    /// `[0, n2)` and `[0, n3)`).
+    pub(crate) base: [usize; 3],
+}
+
+/// `j` wrapped into `[0, n)` for `j < 3n` — the forward neighbours of a
+/// base index in `[0, n)` reach at most `n + 1`.
+#[inline]
+fn wrap_up(j: usize, n: usize) -> usize {
+    let j = if j >= n { j - n } else { j };
+    if j >= n {
+        j - n
+    } else {
+        j
+    }
+}
+
+/// `j − 1` wrapped into `[0, n)` for `j` in `[0, n)`.
+#[inline]
+fn wrap_down(j: usize, n: usize) -> usize {
+    if j == 0 {
+        n - 1
+    } else {
+        j - 1
+    }
+}
+
+/// A borrowed ghost-extended field: the storage and the strides a stencil
+/// needs to read it.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct GhostView<'a> {
+    data: &'a [Real],
+    width: usize,
+    n2: usize,
+    n3: usize,
+}
+
+impl<'a> GhostView<'a> {
+    /// View of `gf`'s storage.
+    pub(crate) fn of(gf: &'a GhostField) -> GhostView<'a> {
+        let g = gf.layout().grid;
+        GhostView { data: gf.data(), width: gf.width(), n2: g.n[1], n3: g.n[2] }
+    }
+}
+
+impl Stencil {
+    /// Packed base indices (21 bits per axis), as plans store them.
+    #[inline]
+    pub(crate) fn pack(&self) -> u64 {
+        let [p, j, k] = self.base;
+        ((p as u64) << (2 * AXIS_BITS)) | ((j as u64) << AXIS_BITS) | k as u64
+    }
+
+    /// Inverse of [`Stencil::pack`].
+    #[inline]
+    pub(crate) fn unpack(t: [Real; 3], packed: u64) -> Stencil {
+        let p = (packed >> (2 * AXIS_BITS)) as usize;
+        let j = ((packed >> AXIS_BITS) & AXIS_MASK) as usize;
+        let k = (packed & AXIS_MASK) as usize;
+        Stencil { t, base: [p, j, k] }
+    }
+
+    /// Trilinear weights `[1 − t, t]` per axis.
+    #[inline]
+    pub(crate) fn linear_weights(&self) -> [[Real; 2]; 3] {
+        self.t.map(|t| [1.0 - t, t])
+    }
+
+    /// Cubic weights per axis from a basis (`lagrange_weights` or
+    /// `bspline_weights`).
+    #[inline]
+    pub(crate) fn cubic_weights(&self, basis: impl Fn(Real) -> [Real; 4]) -> [[Real; 4]; 3] {
+        [basis(self.t[0]), basis(self.t[1]), basis(self.t[2])]
+    }
+
+    /// The trilinear 2×2×2 accumulation. x1 never wraps (the ghost layer
+    /// covers the support); the x2/x3 neighbours wrap periodically by
+    /// compare-and-select.
+    #[inline]
+    pub(crate) fn apply_linear(&self, [w1, w2, w3]: &[[Real; 2]; 3], g: &GhostView) -> Real {
+        let (n2, n3) = (g.n2, g.n3);
+        let [p, b2, b3] = self.base;
+        // storage plane of the base cell
+        let pl = p + g.width;
+        let data = g.data;
+        let rows = [b2, wrap_up(b2 + 1, n2)];
+        let cols = [b3, wrap_up(b3 + 1, n3)];
+        let mut acc = 0.0 as Real;
+        for (a, &wa) in w1.iter().enumerate() {
+            let plane = (pl + a) * n2;
+            for (&jj, &wb) in rows.iter().zip(w2) {
+                let row = (plane + jj) * n3;
+                for (&kk, &wc) in cols.iter().zip(w3) {
+                    acc += wa * wb * wc * data[row + kk];
+                }
+            }
+        }
+        acc
+    }
+
+    /// The cubic 4×4×4 accumulation over offsets `{−1, 0, 1, 2}` per axis.
+    #[inline]
+    pub(crate) fn apply_cubic(&self, [w1, w2, w3]: &[[Real; 4]; 3], g: &GhostView) -> Real {
+        let (n2, n3) = (g.n2, g.n3);
+        let [p, b2, b3] = self.base;
+        let pl = p + g.width;
+        let data = g.data;
+        // Fast path: when the 4×4×4 support does not cross the periodic seam
+        // in x2/x3 (the overwhelmingly common case away from the domain
+        // boundary), the 16 stencil rows are contiguous in the ghost storage
+        // and the whole 64-point accumulation runs as one SIMD kernel.
+        if b2 >= 1 && b2 + 2 < n2 && b3 >= 1 && b3 + 2 < n3 {
+            let base = ((pl - 1) * n2 + (b2 - 1)) * n3 + (b3 - 1);
+            return claire_simd::cubic_accumulate(data, base, n2 * n3, n3, w1, w2, w3);
+        }
+        let rows = [wrap_down(b2, n2), b2, wrap_up(b2 + 1, n2), wrap_up(b2 + 2, n2)];
+        let cols = [wrap_down(b3, n3), b3, wrap_up(b3 + 1, n3), wrap_up(b3 + 2, n3)];
+        let mut acc = 0.0 as Real;
+        for (a, &wa) in w1.iter().enumerate() {
+            let plane = (pl + a - 1) * n2;
+            for (&jj, &wb) in rows.iter().zip(w2) {
+                let row = (plane + jj) * n3;
+                let wab = wa * wb;
+                for (&kk, &wc) in cols.iter().zip(w3) {
+                    acc += wab * wc * data[row + kk];
+                }
+            }
+        }
+        acc
+    }
+
+    /// Evaluate the stencil for `order` on the field behind `g`.
+    #[inline]
+    pub(crate) fn eval(&self, order: IpOrder, g: &GhostView) -> Real {
+        match order {
+            IpOrder::Linear => self.apply_linear(&self.linear_weights(), g),
+            IpOrder::Cubic => self.apply_cubic(&self.cubic_weights(lagrange_weights), g),
+            IpOrder::CubicSpline => self.apply_cubic(&self.cubic_weights(bspline_weights), g),
+        }
+    }
+}
+
+/// Turns physical query points into [`Stencil`]s for one slab layout.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Locator {
+    n: [usize; 3],
+    i0: usize,
+    ni: usize,
+}
+
+impl Locator {
+    /// Locator for queries against `layout`'s owned slab.
+    pub(crate) fn new(layout: &Layout) -> Locator {
+        let n = layout.grid.n;
+        assert!(
+            n.iter().all(|&d| (d as u64) <= AXIS_MASK),
+            "grid {n:?} exceeds the packed stencil range (2^{AXIS_BITS} per axis)"
+        );
+        Locator { n, i0: layout.slab.i0, ni: layout.slab.ni }
+    }
+
+    /// Global x1 plane holding `x1` (the base plane of its stencil).
+    #[inline]
+    pub(crate) fn plane_of(&self, x1: Real) -> usize {
+        split(to_index(x1, self.n[0])).0 as usize
+    }
+
+    /// The stencil of query `x`, or `Err(plane)` with its global x1 base
+    /// plane when another rank's slab owns that plane.
+    #[inline]
+    pub(crate) fn locate(&self, x: [Real; 3]) -> Result<Stencil, usize> {
+        let (b1, t1) = split(to_index(x[0], self.n[0]));
+        let b1 = b1 as usize;
+        if b1 < self.i0 || b1 >= self.i0 + self.ni {
+            return Err(b1);
+        }
+        let (b2, t2) = split(to_index(x[1], self.n[1]));
+        let (b3, t3) = split(to_index(x[2], self.n[2]));
+        Ok(Stencil { t: [t1, t2, t3], base: [b1 - self.i0, b2 as usize, b3 as usize] })
+    }
 }
 
 /// Interpolate a ghost-extended field at a physical point `x`.
@@ -105,77 +325,10 @@ fn split(u: Real) -> (isize, Real) {
 /// driver routes queries so this holds); x2/x3 wrap locally since those
 /// dimensions are not decomposed.
 pub fn interp_ghost(gf: &GhostField, order: IpOrder, x: [Real; 3]) -> Real {
-    let layout = gf.layout();
-    let g = layout.grid;
-    let u1 = to_index(x[0], g.n[0]);
-    let u2 = to_index(x[1], g.n[1]);
-    let u3 = to_index(x[2], g.n[2]);
-    let (b1g, t1) = split(u1);
-    let (b2, t2) = split(u2);
-    let (b3, t3) = split(u3);
-    // slab-relative x1 base plane
-    let b1 = b1g - layout.slab.i0 as isize;
-    let n2 = g.n[1] as isize;
-    let n3 = g.n[2] as isize;
-
-    match order {
-        IpOrder::Linear => {
-            let w1 = [1.0 - t1, t1];
-            let w2 = [1.0 - t2, t2];
-            let w3 = [1.0 - t3, t3];
-            let mut acc = 0.0 as Real;
-            for (a, &wa) in w1.iter().enumerate() {
-                let ii = b1 + a as isize;
-                for (b, &wb) in w2.iter().enumerate() {
-                    let jj = ((b2 + b as isize) % n2 + n2) % n2;
-                    for (c, &wc) in w3.iter().enumerate() {
-                        let kk = ((b3 + c as isize) % n3 + n3) % n3;
-                        acc += wa * wb * wc * gf.at(ii, jj as usize, kk as usize);
-                    }
-                }
-            }
-            acc
-        }
-        IpOrder::Cubic | IpOrder::CubicSpline => {
-            let (w1, w2, w3) = if order == IpOrder::Cubic {
-                (lagrange_weights(t1), lagrange_weights(t2), lagrange_weights(t3))
-            } else {
-                (bspline_weights(t1), bspline_weights(t2), bspline_weights(t3))
-            };
-            // Fast path: when the 4×4×4 support does not cross the periodic
-            // seam in x2/x3 (the overwhelmingly common case away from the
-            // domain boundary), the 16 stencil rows are contiguous in the
-            // ghost storage and the whole 64-point accumulation runs as one
-            // SIMD kernel. x1 never wraps here — the slab's ghost layer
-            // (width 2) covers the cubic support by construction.
-            if b2 >= 1 && b2 + 2 < n2 && b3 >= 1 && b3 + 2 < n3 {
-                let width = gf.width() as isize;
-                let base = (((b1 - 1 + width) * n2 + (b2 - 1)) * n3 + (b3 - 1)) as usize;
-                return claire_simd::cubic_accumulate(
-                    gf.data(),
-                    base,
-                    (n2 * n3) as usize,
-                    n3 as usize,
-                    &w1,
-                    &w2,
-                    &w3,
-                );
-            }
-            let mut acc = 0.0 as Real;
-            for (a, &wa) in w1.iter().enumerate() {
-                let ii = b1 + a as isize - 1;
-                for (b, &wb) in w2.iter().enumerate() {
-                    let jj = ((b2 + b as isize - 1) % n2 + n2) % n2;
-                    let wab = wa * wb;
-                    for (c, &wc) in w3.iter().enumerate() {
-                        let kk = ((b3 + c as isize - 1) % n3 + n3) % n3;
-                        acc += wab * wc * gf.at(ii, jj as usize, kk as usize);
-                    }
-                }
-            }
-            acc
-        }
-    }
+    let s = Locator::new(gf.layout())
+        .locate(x)
+        .unwrap_or_else(|plane| panic!("query {x:?} lies in x1 plane {plane}, outside the slab"));
+    s.eval(order, &GhostView::of(gf))
 }
 
 /// Serial convenience: interpolate a full (serial-layout) field at `x`.
@@ -190,6 +343,54 @@ pub fn interp_serial(f: &ScalarField, order: IpOrder, x: [Real; 3]) -> Real {
 mod tests {
     use super::*;
     use claire_grid::{Grid, Layout};
+
+    #[test]
+    fn to_index_and_split_match_fmod_and_floor_bitwise() {
+        // the historical definitions the fast paths must reproduce
+        let reference = |x: Real, n: usize| -> (Real, isize, Real) {
+            let nr = n as Real;
+            let mut u = x * nr / TWO_PI;
+            u %= nr;
+            if u < 0.0 {
+                u += nr;
+            }
+            if u >= nr {
+                u = 0.0;
+            }
+            let f = u.floor();
+            (u, f as isize, u - f)
+        };
+        let mut xs: Vec<Real> = vec![0.0, -0.0, TWO_PI, -TWO_PI, 2.0 * TWO_PI, -2.0 * TWO_PI];
+        for k in -7i32..=7 {
+            for d in [0.0 as Real, 1e-15, -1e-15, 0.3, -0.3, 1e-30, -1e-30] {
+                xs.push(k as Real * TWO_PI + d);
+                xs.push(k as Real * TWO_PI * (1.0 + 1e-16) + d);
+            }
+        }
+        let mut s = 0x2545_F491_4F6C_DD1Du64;
+        for _ in 0..20_000 {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            xs.push(((s >> 11) as Real / (1u64 << 53) as Real - 0.5) * 8.0 * TWO_PI);
+        }
+        for n in [1usize, 2, 7, 8, 96, 1000] {
+            let nr = n as Real;
+            for &x in xs.iter().chain(&[-nr, nr, 2.0 * nr, -2.0 * nr]) {
+                let (u, b, t) = reference(x, n);
+                let got = to_index(x, n);
+                assert_eq!(got.to_bits(), u.to_bits(), "to_index({x:e}, {n})");
+                let (gb, gt) = split(got);
+                assert_eq!((gb, gt.to_bits()), (b, t.to_bits()), "split of to_index({x:e}, {n})");
+            }
+        }
+        // the remainder itself, including the zero of u = −nr
+        for nr in [8.0 as Real, 96.0] {
+            for u in [-nr, nr, -2.0 * nr, -1.5 * nr, 1.5 * nr, -0.0, 3.0 * nr + 0.25] {
+                assert_eq!(rem_period(u, nr).to_bits(), (u % nr).to_bits(), "{u} % {nr}");
+            }
+        }
+    }
 
     #[test]
     fn lagrange_weights_partition_of_unity() {

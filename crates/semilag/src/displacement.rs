@@ -7,17 +7,19 @@
 //! verify the computed map is a diffeomorphism — the paper's Fig. 1 notes
 //! the map smoothness is "confirmed numerically".
 
-// Component-wise update indexes u and the foot array in lockstep.
+// The Jacobian assembly indexes nine gradient components in lockstep.
 #![allow(clippy::needless_range_loop)]
 
+use claire_grid::workspace::{WsCat, R3_POOL, REAL_POOL};
 use claire_grid::{Real, ScalarField, VectorField};
 use claire_interp::Interpolator;
 use claire_mpi::Comm;
 
-use crate::traj::{grid_points, Trajectory};
+use crate::traj::{grid_points_into, Trajectory};
 
 /// Integrate the displacement field `u = y − x` of the full-interval
-/// backward flow. Collective.
+/// backward flow, interpolating with the trajectory's `foot_back` plan.
+/// Collective.
 pub fn displacement(
     traj: &Trajectory,
     nt: usize,
@@ -25,24 +27,28 @@ pub fn displacement(
     comm: &mut Comm,
 ) -> VectorField {
     let layout = *traj.div_v.layout();
-    let pts = grid_points(&layout);
-    let n = pts.len();
+    let n = layout.local_len();
     // step displacement d(x) = φ(x) − x (small, CFL-bounded, no wrap issues)
-    let step: Vec<[Real; 3]> = traj
-        .foot_back
-        .iter()
-        .zip(&pts)
-        .map(|(f, p)| [f[0] - p[0], f[1] - p[1], f[2] - p[2]])
-        .collect();
+    let mut step = R3_POOL.checkout_filled(n, [0.0 as Real; 3], WsCat::Sl);
+    grid_points_into(&layout, &mut step);
+    for (d, f) in step.iter_mut().zip(traj.foot_back.iter()) {
+        *d = [f[0] - d[0], f[1] - d[1], f[2] - d[2]];
+    }
 
     let mut u = VectorField::zeros(layout);
+    let mut at_foot = [(); 3].map(|_| REAL_POOL.checkout_filled(n, 0.0 as Real, WsCat::Sl));
     for _ in 0..nt {
         // u_{j+1}(x) = (φ(x) − x) + u_j(φ(x))
-        let u_at_foot = interp.interp_vector(&u, &traj.foot_back, comm);
-        for d in 0..3 {
-            let data = u.c[d].data_mut();
-            for i in 0..n {
-                data[i] = step[i][d] + u_at_foot[i][d];
+        let [a0, a1, a2] = &mut at_foot;
+        interp.apply_many_into(
+            &traj.plan_back,
+            &[&u.c[0], &u.c[1], &u.c[2]],
+            comm,
+            &mut [a0, a1, a2],
+        );
+        for (d, (c, at)) in u.c.iter_mut().zip(&at_foot).enumerate() {
+            for ((o, s), &a) in c.data_mut().iter_mut().zip(step.iter()).zip(at.iter()) {
+                *o = s[d] + a;
             }
         }
     }

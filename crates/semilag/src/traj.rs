@@ -13,7 +13,9 @@
 //! stationary both foot-point sets are computed once per velocity and
 //! reused for all `Nt` steps, together with `∇·v` and its values at the
 //! adjoint foot points (needed by the source term of the continuity
-//! update).
+//! update). Each foot-point set is also routed once into an interpolation
+//! plan ([`claire_interp::InterpPlan`]), so every transport step of every
+//! solve on this trajectory is a ghost exchange plus a stencil gather.
 
 // rk2_feet threads the three velocity component slices explicitly to
 // avoid re-borrowing the vector field inside the hot loop.
@@ -21,7 +23,7 @@
 
 use claire_grid::workspace::{PoolVec, WsCat, R3_POOL, REAL_POOL};
 use claire_grid::{Real, ScalarField, VectorField};
-use claire_interp::Interpolator;
+use claire_interp::{InterpPlan, Interpolator};
 use claire_mpi::Comm;
 use claire_obs::span::span;
 use claire_par::timing::{self, Kernel};
@@ -29,9 +31,11 @@ use claire_par::{par_parts, SharedSlice};
 
 /// Pre-computed characteristic data for one stationary velocity field.
 ///
-/// All point/value buffers come from the µSL workspace pool, so recomputing
-/// a `Trajectory` every Gauss–Newton iteration is allocation-free at steady
-/// state.
+/// All point/value buffers and the plans' stencil storage come from the µSL
+/// workspace pools, so recomputing a `Trajectory` every Gauss–Newton
+/// iteration is allocation-free at steady state (on one rank). A new
+/// velocity needs a new `Trajectory`: the plans are valid for exactly these
+/// foot points.
 pub struct Trajectory {
     /// Time-step size `δt = 1/Nt`.
     pub dt: Real,
@@ -41,6 +45,10 @@ pub struct Trajectory {
     /// Foot points for the characteristics of `−v` — used by the adjoint
     /// and incremental adjoint (continuity) equations in reverse time.
     pub foot_fwd: PoolVec<[Real; 3]>,
+    /// [`Trajectory::foot_back`] routed and resolved for interpolation.
+    pub plan_back: InterpPlan,
+    /// [`Trajectory::foot_fwd`] routed and resolved for interpolation.
+    pub plan_fwd: InterpPlan,
     /// `½·δt·(∇·v)` on the grid (8th-order FD). The trapezoidal source
     /// factor of the continuity update is `exp(½·δt·(∇·v|_foot + ∇·v|_x))`;
     /// folding the constant `½·δt` into the stencil sweep here
@@ -87,7 +95,8 @@ impl Trajectory {
     /// Compute both characteristic families for `v` with `nt` time steps.
     ///
     /// Collective. `interp` is used (and its phase stats accumulate) for
-    /// the RK2 midpoint evaluations and the `∇·v` foot values.
+    /// the RK2 midpoint evaluations, the two plan builds and the `∇·v` foot
+    /// values.
     pub fn compute(
         v: &VectorField,
         nt: usize,
@@ -113,8 +122,10 @@ impl Trajectory {
         rk2_feet_into(&pts, v, v1, v2, v3, dt, interp, comm, &mut foot_fwd);
 
         let div_v = claire_diff::fd::divergence_scaled(v, comm, 0.5 * dt);
+        let plan_back = interp.plan(&layout, &foot_back, comm);
+        let plan_fwd = interp.plan(&layout, &foot_fwd, comm);
         let mut div_v_at_fwd = REAL_POOL.checkout_filled(n, 0.0 as Real, WsCat::Sl);
-        interp.interp_into(&div_v, &foot_fwd, comm, &mut div_v_at_fwd);
+        interp.apply_into(&plan_fwd, &div_v, comm, &mut div_v_at_fwd);
 
         // CFL estimate for buffer sizing (max displacement / h)
         let vmax = v.max_abs(comm);
@@ -122,7 +133,7 @@ impl Trajectory {
         #[allow(clippy::unnecessary_cast)] // load-bearing under `--features single`
         let cfl = vmax * dt as f64 / hmin as f64;
 
-        Trajectory { dt, foot_back, foot_fwd, div_v, div_v_at_fwd, cfl }
+        Trajectory { dt, foot_back, foot_fwd, plan_back, plan_fwd, div_v, div_v_at_fwd, cfl }
     }
 }
 

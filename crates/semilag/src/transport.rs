@@ -71,7 +71,7 @@ impl Transport {
         m.push(m0.clone());
         for j in 0..self.nt {
             let mut next = ScalarField::zeros(*m0.layout());
-            interp.interp_into(&m[j], &traj.foot_back, comm, next.data_mut());
+            interp.apply_into(&traj.plan_back, &m[j], comm, next.data_mut());
             m.push(next);
         }
         let grad_m = store_grad.then(|| {
@@ -110,7 +110,7 @@ impl Transport {
         let divv = traj.div_v.data();
         for _ in 0..self.nt {
             let mut next = ScalarField::zeros(layout);
-            interp.interp_into(lambda.last().unwrap(), &traj.foot_fwd, comm, next.data_mut());
+            interp.apply_into(&traj.plan_fwd, lambda.last().unwrap(), comm, next.data_mut());
             timing::time(Kernel::SemiLag, || {
                 let shared = SharedSlice::new(next.data_mut());
                 par_parts(n, n, |range| {
@@ -163,9 +163,9 @@ impl Transport {
             let b_j = b_next;
             b_next = bdot(&state.grad_at(j + 1, comm));
             // trapezoid: m̃_{j+1}(x) = m̃_j(X) − δt/2·(b_j(X) + b_{j+1}(x))
-            interp.interp_many_into(
+            interp.apply_many_into(
+                &traj.plan_back,
                 &[&mt, &b_j],
-                &traj.foot_back,
                 comm,
                 &mut [&mut mt_foot, &mut b_foot],
             );

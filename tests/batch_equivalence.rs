@@ -8,8 +8,19 @@
 //! sequential driver — so not just "close", but every bit equal, on both
 //! SIMD backends. Any drift here means the interleave changed arithmetic.
 
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
 use claire::prelude::*;
 use proptest::prelude::*;
+
+/// The tests below set process-global state (`claire_simd::force_backend`,
+/// `claire::par::set_threads`) that changes the arithmetic of every solve in
+/// the process, so they run one at a time under this lock.
+static GLOBALS_LOCK: Mutex<()> = Mutex::new(());
+
+fn lock_globals() -> MutexGuard<'static, ()> {
+    GLOBALS_LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 fn blob_pair(layout: Layout, shift: Real, off: Real) -> (ScalarField, ScalarField) {
     let blob = move |cx: Real, cy: Real| {
@@ -92,6 +103,7 @@ fn check_equivalence(shifts: &[(Real, Real)], cfg: RegistrationConfig) {
 
 #[test]
 fn batch_matches_sequential_bitwise_on_both_backends() {
+    let _g = lock_globals();
     // mixed shifts: the larger ones need all iterations, the tiny one
     // converges (retires) early — the interleave must handle both
     let shifts = [(0.5, 0.0), (0.02, 0.1), (0.35, -0.2)];
@@ -105,6 +117,7 @@ fn batch_matches_sequential_bitwise_on_both_backends() {
 
 #[test]
 fn batch_with_grid_continuation_matches_sequential() {
+    let _g = lock_globals();
     let mut cfg = config(PrecondKind::InvA, 5e-2);
     cfg.grid_continuation = true;
     check_equivalence(&[(0.5, 0.0), (0.3, 0.15)], cfg);
@@ -112,6 +125,7 @@ fn batch_with_grid_continuation_matches_sequential() {
 
 #[test]
 fn cancelled_member_retires_without_disturbing_the_rest() {
+    let _g = lock_globals();
     claire::par::set_threads(1);
     let layout = Layout::serial(Grid::cube(16));
     let mut comm = Comm::solo();
@@ -150,6 +164,7 @@ proptest! {
         k_idx in 0usize..3,
         seed in 0u64..1000,
     ) {
+        let _g = lock_globals();
         let k = [1usize, 2, 5][k_idx];
         let mut shifts = Vec::new();
         let mut s = seed;

@@ -70,16 +70,22 @@ fn scatter_volume_bounded_by_cfl() {
         );
         let mut ip = claire::interp::Interpolator::new(claire::interp::IpOrder::Linear);
         let tr = claire::semilag::Transport::new(4, claire::interp::IpOrder::Linear);
-        let traj = claire::semilag::Trajectory::compute(&v, 4, &mut ip, comm);
+        // the measurement covers the trajectory: its two RK2 predictor
+        // evaluations and the two interpolation-plan builds ship queries
         let s0 = comm.stats().cat(CommCat::Scatter).bytes_sent;
+        let traj = claire::semilag::Trajectory::compute(&v, 4, &mut ip, comm);
+        let s1 = comm.stats().cat(CommCat::Scatter).bytes_sent;
         let _ = tr.solve_state(&traj, &m0, false, &mut ip, comm);
-        (comm.stats().cat(CommCat::Scatter).bytes_sent - s0, traj.cfl)
+        let s2 = comm.stats().cat(CommCat::Scatter).bytes_sent;
+        (s2 - s0, s2 - s1, traj.cfl)
     });
-    for (rank, &(bytes, cfl)) in res.outputs.iter().enumerate() {
+    for (rank, &(bytes, state_bytes, cfl)) in res.outputs.iter().enumerate() {
         assert!(cfl < 1.0, "test velocity should be sub-CFL");
         // bound: nt steps × ceil(cfl+1) boundary planes × plane points × 24 B
         let bound = 4 * 2 * 8 * 8 * std::mem::size_of::<[Real; 3]>() as u64;
         assert!(bytes <= bound, "rank {rank}: scatter {bytes} exceeds CFL bound {bound}");
+        // the state solve applies the trajectory's plan: no query moves
+        assert_eq!(state_bytes, 0, "rank {rank}: a planned state solve ships no queries");
     }
 }
 

@@ -17,7 +17,7 @@
 //! and auto) — the vectorized kernels, including the fused PCG field-op
 //! chains, must be as allocation-free as the loops they replaced.
 
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use claire::core::BatchSolver;
 use claire::prelude::*;
@@ -25,6 +25,16 @@ use claire_par::alloc_counter::{allocation_count, CountingAlloc};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc::new();
+
+/// The allocation counter, the SIMD backend override and the thread count
+/// are process-global: a concurrently running test would allocate inside
+/// another's measured window or switch its backend mid-solve, so the tests
+/// run one at a time under this lock.
+static GLOBALS_LOCK: Mutex<()> = Mutex::new(());
+
+fn lock_globals() -> MutexGuard<'static, ()> {
+    GLOBALS_LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 fn blob_pair(layout: Layout, shift: Real) -> (ScalarField, ScalarField) {
     let blob = move |cx: Real| {
@@ -53,6 +63,7 @@ fn config() -> RegistrationConfig {
 
 #[test]
 fn steady_state_gn_iteration_is_allocation_free() {
+    let _g = lock_globals();
     claire::par::set_threads(1);
     claire::obs::set_enabled(false);
     let mut comm = Comm::solo();
@@ -108,6 +119,7 @@ fn steady_state_gn_iteration_is_allocation_free() {
 /// mixed GN iteration is checkout/checkin traffic like the f64 one.
 #[test]
 fn steady_state_mixed_gn_iteration_is_allocation_free() {
+    let _g = lock_globals();
     claire::par::set_threads(1);
     claire::obs::set_enabled(false);
     let mut comm = Comm::solo();
@@ -161,6 +173,7 @@ fn steady_state_mixed_gn_iteration_is_allocation_free() {
 /// complete rounds (K steps each).
 #[test]
 fn steady_state_batch_round_is_allocation_free() {
+    let _g = lock_globals();
     claire::par::set_threads(1);
     claire::obs::set_enabled(false);
     let layout = Layout::serial(Grid::cube(16));
